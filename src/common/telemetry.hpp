@@ -323,8 +323,7 @@ enum class TraceType : std::uint8_t {
     kHandover = 4,  ///< object parked on another thread's handover slot
     kFree = 5,      ///< object deleted (arg = 1 if proven by a batch snapshot)
     kDrain = 6,     ///< parked object taken out of a handover slot
-    kShardPush = 7, ///< displaced object pushed onto a shard's MPSC inbox (arg = shard tid)
-    kShardDrain = 8,///< one shard inbox exchanged empty (arg = objects taken)
+    // 7 and 8 are retired; the numbers stay reserved so old dumps decode.
     kSpanBegin = 9, ///< a TraceSpan opened (arg = SpanKind)
     kSpanEnd = 10,  ///< a TraceSpan closed (arg = SpanKind, obj = items payload)
 };
@@ -337,8 +336,6 @@ inline const char* trace_type_name(TraceType t) noexcept {
         case TraceType::kHandover: return "handover";
         case TraceType::kFree: return "free";
         case TraceType::kDrain: return "drain";
-        case TraceType::kShardPush: return "shard_push";
-        case TraceType::kShardDrain: return "shard_drain";
         case TraceType::kSpanBegin: return "span_begin";
         case TraceType::kSpanEnd: return "span_end";
     }
@@ -349,18 +346,13 @@ inline const char* trace_type_name(TraceType t) noexcept {
 /// sync with tools/orc_trace.py, which names the Chrome-trace slices.
 enum class SpanKind : std::uint8_t {
     kScanGeneration = 1, ///< one direction-swapped walk-park generation
-    kStealChunk = 2,     ///< one claim-ticket chunk settled for a shared scan
-    kHandoverDrain = 3,  ///< one handover-slot / shard-inbox drain pass
-    kBgCycle = 4,        ///< background reclaimer wake → park cycle
+    // 2-4 are retired; the numbers stay reserved so old dumps decode.
     kHeavyFence = 5,     ///< one scan-entry asym::heavy() (membarrier) call
 };
 
 inline const char* span_kind_name(SpanKind k) noexcept {
     switch (k) {
         case SpanKind::kScanGeneration: return "scan_generation";
-        case SpanKind::kStealChunk: return "steal_chunk";
-        case SpanKind::kHandoverDrain: return "handover_drain";
-        case SpanKind::kBgCycle: return "bg_cycle";
         case SpanKind::kHeavyFence: return "heavy_fence";
     }
     return "?";
@@ -467,8 +459,8 @@ class TraceSpan {
     TraceSpan(const TraceSpan&) = delete;
     TraceSpan& operator=(const TraceSpan&) = delete;
 
-    /// Payload for the end record's obj field (objects drained, items
-    /// stolen, ... — whatever the span's work unit counts).
+    /// Payload for the end record's obj field: whatever the span's work
+    /// unit counts (generation members walked, for kScanGeneration).
     void note_items(std::uint64_t n) noexcept { items_ = n; }
 
   private:

@@ -27,14 +27,6 @@
 //   slots_scanned  hp slots loaded by scans + snapshots
 //   handovers      objects parked on another thread's handover slot
 //   cascades       top-level retire() calls (cascade roots)
-//   shard_pushes   displaced handover occupants pushed onto a shard's MPSC
-//                  inbox (instead of an inline rescan chain)
-//   shard_drained  objects exchanged back out of shard inboxes
-//   scans_shared   cooperative shared scans installed (owner side)
-//   chunks_stolen  claim-ticket chunks settled by a non-owner thread
-//   items_stolen   objects inside those stolen chunks
-//   bg_wakes       background-reclaimer wakeups
-//   bg_parks       background-reclaimer drain passes completed (re-parks)
 //
 // Histograms (log2 buckets):
 //   retire_latency_gens   cascade generation index at free — how many scan
@@ -48,10 +40,9 @@
 //                         garbage. SAMPLED 1-in-64 per retiring thread
 //                         (telemetry::kAgeSampleMask): stamped objects are
 //                         measured at full clock resolution on whichever
-//                         free path settles them (batched walk-park,
-//                         per-object rescan, shard drain, bg reclaimer),
-//                         unstamped ones record nothing. Exported with
-//                         p50/p99/p999
+//                         free path settles them (batched walk-park or
+//                         per-object rescan), unstamped ones record
+//                         nothing. Exported with p50/p99/p999
 //
 // peak_unreclaimed is SAMPLED, not exact: a per-node aggregate walk would
 // put kMaxThreads relaxed loads of other threads' lines on the retire path.
@@ -89,13 +80,6 @@ class OrcMetrics final : public telemetry::MetricProvider {
         kSlotsScanned,
         kHandovers,
         kCascades,
-        kShardPushes,
-        kShardDrained,
-        kScansShared,
-        kChunksStolen,
-        kItemsStolen,
-        kBgWakes,
-        kBgParks,
         kNumCounters
     };
     enum : int {
@@ -272,37 +256,6 @@ class OrcMetrics final : public telemetry::MetricProvider {
             }
         }
 
-        /// A displaced handover occupant was pushed onto shard `tid`'s MPSC
-        /// inbox instead of being rescanned inline (the sharded retire path).
-        void on_shard_push(const void* obj, int tid) noexcept {
-            if constexpr (telemetry::kTelemetryEnabled) {
-                bump(t_->c[kShardPushes]);
-                if (tracing_) {
-                    t_->trace.record(telemetry::TraceType::kShardPush, obj,
-                                     static_cast<std::uint64_t>(tid));
-                }
-            } else {
-                (void)obj;
-                (void)tid;
-            }
-        }
-
-        /// This thread installed a cooperative shared scan (it is the owner).
-        void on_shared_scan() noexcept {
-            if constexpr (telemetry::kTelemetryEnabled) bump(t_->c[kScansShared]);
-        }
-
-        /// One claim-ticket chunk of `items` objects was stolen from another
-        /// thread's open shared scan and settled by this thread.
-        void on_steal(std::uint64_t items) noexcept {
-            if constexpr (telemetry::kTelemetryEnabled) {
-                bump(t_->c[kChunksStolen]);
-                bump(t_->c[kItemsStolen], items);
-            } else {
-                (void)items;
-            }
-        }
-
         /// The calling thread's trace ring while tracing is on, else null.
         /// telemetry::TraceSpan takes this pointer: with tracing off (the
         /// latched flag) a span collapses to two null tests.
@@ -385,51 +338,6 @@ class OrcMetrics final : public telemetry::MetricProvider {
         }
     }
 
-    /// `taken` objects were exchanged out of shard `tid`'s MPSC inbox in one
-    /// drain (fires only when the inbox was non-empty — never on the
-    /// empty-check fast path).
-    void on_shard_drain(int tid, std::uint64_t taken) noexcept {
-        if constexpr (telemetry::kTelemetryEnabled) {
-            ThreadBlock& t = tb();
-            bump(t.c[kShardDrained], taken);
-            if (trace_on_.load(std::memory_order_acquire)) {
-                t.trace.record(telemetry::TraceType::kShardDrain, nullptr, taken);
-            }
-            (void)tid;
-        } else {
-            (void)tid;
-            (void)taken;
-        }
-    }
-
-    /// The background reclaimer woke on backlog (fires on its thread).
-    void on_bg_wake() noexcept {
-        if constexpr (telemetry::kTelemetryEnabled) bump(tb().c[kBgWakes]);
-    }
-
-    /// The background reclaimer finished a drain pass and is about to park.
-    void on_bg_park() noexcept {
-        if constexpr (telemetry::kTelemetryEnabled) bump(tb().c[kBgParks]);
-    }
-
-    /// Wires the domain's live shard-backlog gauge (objects currently parked
-    /// across its MPSC inboxes) into this provider's export. The pointee
-    /// must outlive the provider (both are OrcDomain members).
-    void wire_shard_backlog(const std::atomic<std::int64_t>* backlog) noexcept {
-        shard_backlog_ = backlog;
-    }
-
-    /// One-shot span ring lookup for call sites outside a cascade frame
-    /// (bg-reclaimer cycles, shard drains). Null while tracing is off.
-    telemetry::TraceRing* span_ring() noexcept {
-        if constexpr (telemetry::kTelemetryEnabled) {
-            if (!trace_on_.load(std::memory_order_acquire)) return nullptr;
-            return &tb().trace;
-        } else {
-            return nullptr;
-        }
-    }
-
     /// Wires the domain's stalled-reader watchdog gauges (suspect slots and
     /// the objects their published HPs are pinning — see
     /// OrcDomain::watchdog_sample) into this provider's export. Pointees
@@ -452,6 +360,7 @@ class OrcMetrics final : public telemetry::MetricProvider {
         std::uint64_t slots_scanned = 0;
         std::uint64_t handovers = 0;
         std::uint64_t cascades = 0;
+        // Always 0; kept because perfbench/orc_bench.cpp prints these seven.
         std::uint64_t shard_pushes = 0;
         std::uint64_t shard_drained = 0;
         std::uint64_t scans_shared = 0;
@@ -487,13 +396,6 @@ class OrcMetrics final : public telemetry::MetricProvider {
             s.slots_scanned += t.c[kSlotsScanned].load(std::memory_order_relaxed);
             s.handovers += t.c[kHandovers].load(std::memory_order_relaxed);
             s.cascades += t.c[kCascades].load(std::memory_order_relaxed);
-            s.shard_pushes += t.c[kShardPushes].load(std::memory_order_relaxed);
-            s.shard_drained += t.c[kShardDrained].load(std::memory_order_relaxed);
-            s.scans_shared += t.c[kScansShared].load(std::memory_order_relaxed);
-            s.chunks_stolen += t.c[kChunksStolen].load(std::memory_order_relaxed);
-            s.items_stolen += t.c[kItemsStolen].load(std::memory_order_relaxed);
-            s.bg_wakes += t.c[kBgWakes].load(std::memory_order_relaxed);
-            s.bg_parks += t.c[kBgParks].load(std::memory_order_relaxed);
             t.hist[kHistLatencyGens].read_into(s.retire_latency_gens);
             t.hist[kHistChainLen].read_into(s.handover_chain_len);
             t.hist[kHistSnapshotHps].read_into(s.snapshot_hps);
@@ -592,18 +494,7 @@ class OrcMetrics final : public telemetry::MetricProvider {
         sink.counter("slots_scanned", s.slots_scanned);
         sink.counter("handovers", s.handovers);
         sink.counter("cascades", s.cascades);
-        sink.counter("shard_pushes", s.shard_pushes);
-        sink.counter("shard_drained", s.shard_drained);
-        sink.counter("scans_shared", s.scans_shared);
-        sink.counter("chunks_stolen", s.chunks_stolen);
-        sink.counter("items_stolen", s.items_stolen);
-        sink.counter("bg_wakes", s.bg_wakes);
-        sink.counter("bg_parks", s.bg_parks);
         sink.gauge("unreclaimed", s.unreclaimed);
-        if (shard_backlog_ != nullptr) {
-            const std::int64_t b = shard_backlog_->load(std::memory_order_acquire);
-            sink.gauge("shard_backlog", b > 0 ? static_cast<std::uint64_t>(b) : 0);
-        }
         if (stall_suspects_ != nullptr) {
             sink.gauge("stall_suspects", stall_suspects_->load(std::memory_order_acquire));
         }
@@ -716,9 +607,6 @@ class OrcMetrics final : public telemetry::MetricProvider {
     const char* name_;
     std::atomic<bool> trace_on_{false};
     std::atomic<std::uint64_t> peak_{0};
-    /// Live shard-inbox occupancy gauge, owned by the domain (see
-    /// wire_shard_backlog); null until wired.
-    const std::atomic<std::int64_t>* shard_backlog_ = nullptr;
     /// Stalled-reader watchdog gauges, owned by the domain (see
     /// wire_stall_suspects); null until wired.
     const std::atomic<std::uint64_t>* stall_suspects_ = nullptr;

@@ -125,8 +125,7 @@ TEST(OrcLintFixtures, R11FiresOnRawThreadInEngine) {
     const LintResult r = run_lint(fixture("bad_r11"));
     EXPECT_EQ(r.exit_code, 1) << r.output;
     // The member declaration and the spawn site; std::this_thread and the
-    // justified suppression stay silent. (core/orc_bg_reclaimer.hpp itself
-    // is exempt — covered by RepositoryTreeIsClean.)
+    // justified suppression stay silent.
     EXPECT_EQ(count_rule(r.output, "R11"), 2) << r.output;
 }
 

@@ -294,7 +294,7 @@ TEST(TraceRingTest, ReserveIsIdempotent) {
 // ---- TraceSpan -------------------------------------------------------------
 
 TEST(TraceSpanTest, NullRingIsANoOp) {
-    telemetry::TraceSpan span(nullptr, telemetry::SpanKind::kBgCycle);
+    telemetry::TraceSpan span(nullptr, telemetry::SpanKind::kScanGeneration);
     span.note_items(42);  // must not crash or record anywhere
 }
 
@@ -308,7 +308,7 @@ TEST(TraceSpanTest, PairsCarryKindAndItemsAcrossRingWrap) {
     TraceRing ring;
     ring.reserve(kCap);
     for (std::uint64_t i = 0; i < kSpans; ++i) {
-        telemetry::TraceSpan span(&ring, telemetry::SpanKind::kStealChunk);
+        telemetry::TraceSpan span(&ring, telemetry::SpanKind::kScanGeneration);
         span.note_items(i);
     }
     const std::vector<TraceRecord> records = ring.snapshot();
@@ -319,7 +319,7 @@ TEST(TraceSpanTest, PairsCarryKindAndItemsAcrossRingWrap) {
     for (std::size_t i = 0; i < records.size(); ++i) {
         const TraceRecord& r = records[i];
         EXPECT_EQ(r.arg,
-                  static_cast<std::uint64_t>(telemetry::SpanKind::kStealChunk));
+                  static_cast<std::uint64_t>(telemetry::SpanKind::kScanGeneration));
         if (r.type == TraceType::kSpanBegin) {
             EXPECT_EQ(open, 0) << "begin while a span is open";
             ++open;
@@ -340,9 +340,6 @@ TEST(TraceSpanTest, SpanKindNamesMatchTheExporterContract) {
     using telemetry::SpanKind;
     using telemetry::span_kind_name;
     EXPECT_STREQ(span_kind_name(SpanKind::kScanGeneration), "scan_generation");
-    EXPECT_STREQ(span_kind_name(SpanKind::kStealChunk), "steal_chunk");
-    EXPECT_STREQ(span_kind_name(SpanKind::kHandoverDrain), "handover_drain");
-    EXPECT_STREQ(span_kind_name(SpanKind::kBgCycle), "bg_cycle");
     EXPECT_STREQ(span_kind_name(SpanKind::kHeavyFence), "heavy_fence");
 }
 

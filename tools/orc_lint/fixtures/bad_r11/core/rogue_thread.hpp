@@ -1,7 +1,6 @@
-// R11 fixture: raw std::thread in an engine file outside the background
-// reclaimer unit. The member declaration and the spawn site must both fire;
-// std::this_thread (a different token) and the justified suppression must
-// stay silent.
+// R11 fixture: raw std::thread in an engine file. The member declaration and
+// the spawn site must both fire; std::this_thread (a different token) and the
+// justified suppression must stay silent.
 #pragma once
 
 #include <thread>
@@ -12,11 +11,11 @@ struct RogueScanner {
     std::thread worker;  // fires: a thread lifecycle hidden from the domain dtor
 
     void start() {
-        worker = std::thread([] {});  // fires: spawn site outside the bg unit
+        worker = std::thread([] {});  // fires: spawn site in engine code
         std::this_thread::yield();    // silent: not a thread spawn
     }
 
-    // orc-lint: allow(R11) test double for the reclaimer; joined in stop()
+    // orc-lint: allow(R11) test double; joined in stop()
     std::thread spare;
 };
 

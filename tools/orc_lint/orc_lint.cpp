@@ -57,13 +57,12 @@
 //       handover protocol and OrcSan's quarantine diversion live); a rogue
 //       free bypasses all three and is the exact bug class OrcSan's shadow
 //       machine exists to catch at runtime.
-//   R11 no raw std::thread in src/core/ or src/reclamation/ outside
-//       src/core/orc_bg_reclaimer.hpp — the background-reclaimer unit is
-//       the engine's ONE sanctioned thread-spawning site, because a spawned
-//       thread registers a dense tid and MUST be joined before the
+//   R11 no raw std::thread in src/core/ or src/reclamation/ — the paper
+//       reclaims inline, on the retiring thread. A spawned thread registers
+//       a dense tid and would have to be joined before the
 //       destruction-to-quiescence protocol runs (and never while holding
-//       the registry mutex its exit hook needs). A thread spawned anywhere
-//       else hides a lifecycle the domain destructor does not know about.
+//       the registry mutex its exit hook needs): a lifecycle the domain
+//       destructor does not know about.
 //   R12 scheme files in src/reclamation/ ride the shared substrate
 //       (scheme_base.hpp): no raw `...[kMaxThreads]` slot-array
 //       declarations, no ad-hoc retire-list vectors (std::vector declarators
@@ -131,7 +130,7 @@ struct RuleSet {
     bool r9a = true;  // everywhere except common/asym_fence.{hpp,cpp}
     bool r9b = false;  // core/ and reclamation/ only
     bool r10 = true;  // everywhere except core/orc_domain.hpp (the free path)
-    bool r11 = false;  // core/ and reclamation/ (minus core/orc_bg_reclaimer.hpp)
+    bool r11 = false;  // core/ and reclamation/
     bool r12 = false;  // reclamation/ only (minus scheme_base.hpp, the substrate)
     bool r13 = false;  // core/ and reclamation/ (minus orc_metrics.hpp, the
                        // telemetry layer's engine half)
@@ -757,7 +756,7 @@ class FileLinter {
         }
     }
 
-    // ---- R11: thread spawning is confined to the bg-reclaimer unit --------
+    // ---- R11: no thread spawning in the engine or the schemes ------------
 
     void check_r11() {
         static const char kNeedle[] = "std::thread";
@@ -774,10 +773,9 @@ class FileLinter {
             const std::size_t end = start + sizeof(kNeedle) - 1;
             if (end < clean_.size() && is_ident_char(clean_[end])) continue;
             emit("R11", line_of(start),
-                 "raw std::thread in engine/reclamation code — the background "
-                 "reclaimer (core/orc_bg_reclaimer.hpp) is the one sanctioned "
-                 "spawn site; hand it a drain callback instead, so the join-"
-                 "before-quiescence destruction ordering stays auditable");
+                 "raw std::thread in engine/reclamation code — reclamation runs "
+                 "inline on the retiring thread; a spawned thread escapes the "
+                 "domain's join-before-quiescence destruction protocol");
         }
     }
 
@@ -1224,12 +1222,10 @@ RuleSet rules_for_path(const std::string& generic_path) {
     // quarantine diversion. Everywhere else — engine, schemes, structures,
     // clients — a raw free of a tracked object bypasses the hazard scan.
     r.r10 = generic_path.find("/core/orc_domain.hpp") == std::string::npos;
-    // The background-reclaimer unit is the engine's one sanctioned
-    // thread-spawning site (its header documents the join-before-quiescence
-    // contract); a raw std::thread anywhere else in the engine or the manual
-    // schemes escapes the domain destruction protocol.
-    r.r11 = (core || generic_path.find("/reclamation/") != std::string::npos) &&
-            generic_path.find("/core/orc_bg_reclaimer.hpp") == std::string::npos;
+    // Reclamation runs inline on the retiring thread; a raw std::thread in
+    // the engine or the manual schemes escapes the domain destruction
+    // protocol.
+    r.r11 = core || generic_path.find("/reclamation/") != std::string::npos;
     // The manual-scheme substrate is the one sanctioned home for slot
     // arrays, retire bags and the SchemeMetrics provider; a scheme file that
     // re-forks any of them has drifted off the shared (audited) paths.

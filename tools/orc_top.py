@@ -23,12 +23,6 @@ DESIGN.md §1.9), a sanitizer panel follows the table: the four violation
 counters (double_retire, unprotected_deref, poison_torn, cross_domain_retire
 — any non-zero value is flagged) and the quarantine occupancy/peak gauges.
 
-Sources whose export carries sharded-retirement activity (see DESIGN.md
-§1.3e) get a shard panel: the displacement/drain counters, the cooperative
-shared-scan install/steal counters, the background-reclaimer wake/park
-counters, and the live shard_backlog gauge (objects currently parked across
-the domain's MPSC inboxes).
-
 Sources carrying a retire_free_age histogram (see DESIGN.md §1.8) get a
 latency panel: retire→free age percentiles (p50/p99/p999, in
 telemetry::coarse_now ticks) plus the stalled-reader watchdog gauges —
@@ -97,34 +91,6 @@ def render_orcsan(sources, out):
               f"  (peak {fmt_count(gauges.get('quarantine_peak', 0))})", file=out)
 
 
-SHARD_COUNTERS = ("shard_pushes", "shard_drained", "scans_shared",
-                  "chunks_stolen", "items_stolen", "bg_wakes", "bg_parks")
-
-
-def render_shards(sources, out):
-    """Shard-occupancy panel for the sharded retire path: rendered for every
-    source with any shard/steal/bg activity (or a live backlog gauge)."""
-    for src in sorted(sources, key=lambda s: s["name"]):
-        counters = src.get("counters", {})
-        gauges = src.get("gauges", {})
-        backlog = gauges.get("shard_backlog")
-        if not any(counters.get(k, 0) for k in SHARD_COUNTERS) and not backlog:
-            continue
-        print(f"\n{src['name']} shards", file=out)
-        print(f"  {'pushed':<14} {fmt_count(counters.get('shard_pushes', 0)):>9}"
-              f"   {'drained':<14} {fmt_count(counters.get('shard_drained', 0)):>9}",
-              file=out)
-        print(f"  {'shared_scans':<14} {fmt_count(counters.get('scans_shared', 0)):>9}"
-              f"   {'chunks_stolen':<14} {fmt_count(counters.get('chunks_stolen', 0)):>9}",
-              file=out)
-        print(f"  {'items_stolen':<14} {fmt_count(counters.get('items_stolen', 0)):>9}"
-              f"   {'bg_wakes/parks':<14} "
-              f"{fmt_count(counters.get('bg_wakes', 0))}/"
-              f"{fmt_count(counters.get('bg_parks', 0)):>{1}}", file=out)
-        if backlog is not None:
-            print(f"  {'backlog (live)':<14} {fmt_count(backlog):>9}", file=out)
-
-
 def render_latency(sources, out):
     """Reclamation-latency panel: retire→free age percentiles per source
     plus the stalled-reader watchdog gauges (flagged when suspects > 0)."""
@@ -190,7 +156,6 @@ def main() -> int:
             sys.stdout.write("\x1b[2J\x1b[H")  # clear + home
         render_table(sources, sys.stdout)
         render_latency(sources, sys.stdout)
-        render_shards(sources, sys.stdout)
         render_orcsan(sources, sys.stdout)
         if args.hist:
             render_histograms(sources, sys.stdout)

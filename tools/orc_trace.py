@@ -14,10 +14,9 @@ Usage:
 Mapping:
   * One track per (source, tid): each telemetry source becomes a trace
     process (pid), each OrcGC dense thread id a thread (tid) inside it.
-  * span_begin/span_end records (TraceSpan pairs — scan generations, steal
-    chunks, handover drains, bg cycles, heavy fences) become duration events
-    (ph B/E) named by their SpanKind; the end record's obj field carries the
-    span's item count as args.items.
+  * span_begin/span_end records (TraceSpan pairs — scan generations and
+    heavy fences) become duration events (ph B/E) named by their SpanKind;
+    the end record's obj field carries the span's item count as args.items.
   * Every other record type (retire, free_batch, handover, ...) becomes an
     instant event (ph i, thread scope) with obj/arg attached as args.
   * Timestamps are (tsc - min_tsc) / (tsc_ghz * 1000) microseconds. The
@@ -39,9 +38,6 @@ import sys
 # Kept in sync with telemetry::SpanKind (src/common/telemetry.hpp).
 SPAN_KINDS = {
     1: "scan_generation",
-    2: "steal_chunk",
-    3: "handover_drain",
-    4: "bg_cycle",
     5: "heavy_fence",
 }
 

@@ -33,7 +33,10 @@
 //
 // Retire scans come in two flavours:
 //   * per-object (retire_one / try_handover): the paper's Algorithm 6 scan,
-//     used for small cascade generations and as the slow path;
+//     used for small cascade generations and as the slow path. It probes
+//     the retiring thread's own hp slots first and parks there with no
+//     asym::heavy() — the unlinking thread usually still holds the node —
+//     and fences only before walking the other threads' slots;
 //   * batched (retire_generation_batched): one asym::heavy() and one walk
 //     over every published hp per cascade *generation*, each hp probed into
 //     the generation sorted by address. The walk must be per-generation —
@@ -1008,33 +1011,48 @@ class OrcDomain {
     /// if found, park it in the paired handover slot and take away whatever
     /// was parked there before. Each thread's scan is bounded by its own
     /// published hp_wm instead of a global high-water mark.
+    ///
+    /// The caller's own slots are probed first, with no fence: the thread
+    /// that unlinks a node usually still holds an orc_ptr to it. A park needs
+    /// no fence — it is conservative, the object keeps its retire token and
+    /// re-enters this protocol, fence included, when the owner's release
+    /// drains the slot. Only a "no hp covers ptr" verdict must be fenced, so
+    /// asym::heavy() runs only once the own probe misses.
     bool try_handover(OrcMetrics::Hot& mh, orc_base*& ptr) {
-        const int nthreads = thread_id_watermark();
         std::size_t slots = 0;
         mh.on_scan_begin(ptr);
-        // Scan-side half of the asymmetric pair (same argument as
-        // scan_generation): the caller holds ptr's retire token, so a publish
-        // of ptr this fence misses was ordered after the token — and that
-        // reader's validation load / lorc2 revalidation catches it.
-        {
-            telemetry::TraceSpan fence(mh.span_ring(), telemetry::SpanKind::kHeavyFence);
-            asym::heavy();
-        }
-        for (int it = 0; it < nthreads; ++it) {
-            auto& other = tl_[it];
-            const int wm = other.hp_wm.load(std::memory_order_seq_cst);
+        // The handover slot paired with the first of `d`'s hps covering ptr.
+        auto probe = [&](DomainState& d) -> std::atomic<orc_base*>* {
+            const int wm = d.hp_wm.load(std::memory_order_seq_cst);
             for (int idx = 0; idx < wm; ++idx) {
                 ++slots;
-                if (other.hp[idx].load(std::memory_order_seq_cst) == ptr) {
-                    mh.on_scan_end(ptr, slots);
-                    mh.on_handover(ptr);
-                    ptr = other.handovers[idx].exchange(ptr, std::memory_order_seq_cst);
-                    return true;
-                }
+                if (d.hp[idx].load(std::memory_order_seq_cst) == ptr) return &d.handovers[idx];
+            }
+            return nullptr;
+        };
+        const int self = thread_id();
+        std::atomic<orc_base*>* hit = probe(tl_[self]);
+        if (hit == nullptr) {
+            // Scan-side half of the asymmetric pair (same argument as
+            // scan_generation): the caller holds ptr's retire token, so a
+            // publish of ptr this fence misses was ordered after the token —
+            // and that reader's validation load / lorc2 revalidation catches
+            // it. The caller's own slots are not re-read: only their owner
+            // writes them, so they cannot have changed since the probe.
+            {
+                telemetry::TraceSpan fence(mh.span_ring(), telemetry::SpanKind::kHeavyFence);
+                asym::heavy();
+            }
+            const int nthreads = thread_id_watermark();
+            for (int it = 0; it < nthreads && hit == nullptr; ++it) {
+                if (it != self) hit = probe(tl_[it]);
             }
         }
         mh.on_scan_end(ptr, slots);
-        return false;
+        if (hit == nullptr) return false;
+        mh.on_handover(ptr);
+        ptr = hit->exchange(ptr, std::memory_order_seq_cst);
+        return true;
     }
 
     /// Algorithm 6 lines 147–158: drop the retire token because the counter

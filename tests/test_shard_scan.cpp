@@ -5,6 +5,9 @@
 //     old occupant back to the retiring thread, which re-scans it inline, so
 //     a stalled reader pins at most one object per hp index (the per-slot
 //     half of the paper's O(H·t) bound).
+//   * A retire covered by the retiring thread's own hp parks there with no
+//     heavy fence; the owner's release drains the park back through the
+//     fenced scan, which yields to any remote protection.
 //   * A thread that exits with an abandoned index has its hp and its parked
 //     handover drained by the exit hook before its registry slot is reused.
 //   * Wide cascades running at once in one domain overlap their batched
@@ -12,15 +15,21 @@
 // Companion: tests/test_retire_paths.cpp (watermarks, single-thread cascades).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <numeric>
+#include <random>
 #include <thread>
 #include <vector>
 
 #include "common/alloc_tracker.hpp"
+#include "common/asym_fence.hpp"
 #include "common/barrier.hpp"
 #include "core/orc.hpp"
+#include "ds/orc/ms_queue_orc.hpp"
+#include "ds/orc/nm_tree_orc.hpp"
 
 namespace orcgc {
 namespace {
@@ -163,6 +172,117 @@ TEST(HandoverDisplacement, StalledIndexPinsAtMostOneObject) {
     }
     await_phase(phase, 2 * kRounds + 1);
     reader.join();
+    EXPECT_EQ(dom->handover_count(), 0u);
+    EXPECT_EQ(dom->object_count(), 0);
+}
+
+// ------------------------------------------------- own-slot probe (Alg. 6)
+//
+// try_handover probes the retiring thread's own hp slots before it issues
+// the heavy fence: a park on an own slot is conservative, and the owner's
+// release drains it back through the fenced scan. heavy() counts nothing in
+// the seqcst and off modes, so fence counts are asserted only where it
+// issues a barrier.
+
+bool heavy_counts() {
+    return asym::mode() == asym::Mode::kMembarrier || asym::mode() == asym::Mode::kFence;
+}
+
+// Unlinking a node this thread still holds parks it on the thread's own
+// handover slot with no fence; dropping the orc_ptr drains the park through
+// one fenced scan, which finds no protection and frees it.
+TEST(HandoverDisplacement, OwnProtectionParksWithoutAHeavyFence) {
+    auto dom = std::make_unique<OrcDomain>();
+    orc_atomic<Node*> root;
+    root.store(make_orc_in<Node>(*dom));
+    orc_ptr<Node*> px = root.load(*dom);
+
+    const std::uint64_t before = asym::heavy_fences();
+    root.store(nullptr);  // the only link: retire X while px covers it
+    if (heavy_counts()) {
+        EXPECT_EQ(asym::heavy_fences() - before, 0u);
+    }
+    EXPECT_EQ(dom->handover_count(), 1u);
+    EXPECT_EQ(dom->object_count(), 1);
+
+    px = nullptr;  // drain the own park: fenced scan, no cover, free
+    if (heavy_counts()) {
+        EXPECT_EQ(asym::heavy_fences() - before, 1u);
+    }
+    EXPECT_EQ(dom->handover_count(), 0u);
+    EXPECT_EQ(dom->object_count(), 0);
+}
+
+// An own park must yield to a remote protection: when the owner's release
+// drains X, the re-scan finds the reader's hp and parks X there, and X is
+// freed only when the reader releases its index.
+TEST(HandoverDisplacement, OwnParkDrainDefersToARemoteProtection) {
+    auto dom = std::make_unique<OrcDomain>();
+    orc_atomic<Node*> root;
+    root.store(make_orc_in<Node>(*dom));
+    orc_ptr<Node*> px = root.load(*dom);
+    orc_base* xr = px.get();
+
+    std::atomic<int> phase{0};
+    std::thread reader([&] {
+        const int idx = dom->get_new_idx();
+        dom->protect_ptr(xr, idx);
+        advance(phase);  // 1: X protected by the reader
+        await_phase(phase, 2);
+        dom->release_idx(idx, nullptr);  // drains X's park: frees X
+        advance(phase);                  // 3
+    });
+
+    await_phase(phase, 1);
+    root.store(nullptr);  // retire X: parks on this thread's own slot
+    EXPECT_EQ(dom->handover_count(), 1u);
+    EXPECT_EQ(dom->object_count(), 1);
+    px = nullptr;  // drain: the re-scan parks X on the reader's slot
+    EXPECT_EQ(dom->handover_count(), 1u);
+    EXPECT_EQ(dom->object_count(), 1);
+    advance(phase);  // 2
+    await_phase(phase, 3);
+    reader.join();
+
+    EXPECT_EQ(dom->handover_count(), 0u);
+    EXPECT_EQ(dom->object_count(), 0);
+}
+
+// The fence budget of the paper's two unlink paths, single-threaded. An
+// MS-queue dequeue retires the old sentinel while its `node` orc_ptr still
+// covers it: one own park, then one fenced scan when the orc_ptr drops. An
+// NM-tree remove retires the successor while `sr.successor` covers it (own
+// park, then one fenced scan), and that free cascades into the removed leaf
+// (one fenced scan).
+TEST(HandoverDisplacement, EachUnlinkPaysOneFenceLess) {
+    constexpr int kOps = 1000;
+    auto dom = std::make_unique<OrcDomain>();
+    {
+        MSQueueOrc<std::uint64_t> queue(dom.get());
+        for (std::uint64_t i = 0; i < 10; ++i) queue.enqueue(i);
+        const std::uint64_t before = asym::heavy_fences();
+        for (int i = 0; i < kOps; ++i) {
+            queue.enqueue(static_cast<std::uint64_t>(i));
+            ASSERT_TRUE(queue.dequeue().has_value());
+        }
+        if (heavy_counts()) {
+            EXPECT_EQ(asym::heavy_fences() - before, std::uint64_t{kOps});
+        }
+    }
+    {
+        NMTreeOrc<std::uint64_t> tree(dom.get());
+        std::vector<std::uint64_t> keys(kOps);
+        std::iota(keys.begin(), keys.end(), std::uint64_t{1});
+        std::mt19937_64 rng(7);
+        std::shuffle(keys.begin(), keys.end(), rng);
+        for (const std::uint64_t k : keys) ASSERT_TRUE(tree.insert(k));
+        std::shuffle(keys.begin(), keys.end(), rng);
+        const std::uint64_t before = asym::heavy_fences();
+        for (const std::uint64_t k : keys) ASSERT_TRUE(tree.remove(k));
+        if (heavy_counts()) {
+            EXPECT_EQ(asym::heavy_fences() - before, std::uint64_t{2 * kOps});
+        }
+    }
     EXPECT_EQ(dom->handover_count(), 0u);
     EXPECT_EQ(dom->object_count(), 0);
 }

@@ -10,6 +10,7 @@ Usage:
   tools/orc_trace.py trace_dump.jsonl -o trace.json     convert
   tools/orc_trace.py trace_dump.jsonl --validate        check, no output
   tools/orc_trace.py dump.jsonl -o t.json --tsc-ghz 3.0 calibrated timestamps
+  tools/orc_trace.py trace_dump.jsonl --summary         time per span kind
 
 Mapping:
   * One track per (source, tid): each telemetry source becomes a trace
@@ -30,6 +31,13 @@ Validation (--validate, also run before every conversion):
     ring may evict a span's begin while keeping its end (orphan end at the
     start of a track) or be dumped while a span is open (dangling begin at
     the end) — both are dropped with a note, anything else fails.
+
+Summary (--summary, computed after validation): one row per span kind with
+its count, total, mean and self time. Self time is a span's duration minus
+the durations of the spans nested directly inside it on the same track —
+heavy_fence nests inside scan_generation, so scan_generation's self time is
+its walk without the fence. Wrap-orphaned spans are left out, as in the
+conversion. Times are scaled by --tsc-ghz like the trace timestamps.
 """
 import argparse
 import json
@@ -179,6 +187,40 @@ def to_chrome(tracks, tsc_ghz):
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
+def summarize(tracks):
+    """Returns {kind: [count, total_ticks, self_ticks]} over the paired spans
+    of every track; a parent's self time excludes its directly nested
+    children."""
+    stats = {}
+    for recs in tracks.values():
+        open_spans = []  # stack of [kind, begin tsc, ticks in nested spans]
+        for rec in recs:
+            if rec["type"] == "span_begin":
+                open_spans.append([rec.get("arg", 0), rec["tsc"], 0])
+            elif rec["type"] == "span_end" and open_spans:
+                kind, begin, nested = open_spans.pop()
+                duration = rec["tsc"] - begin
+                row = stats.setdefault(kind, [0, 0, 0])
+                row[0] += 1
+                row[1] += duration
+                row[2] += duration - nested
+                if open_spans:
+                    open_spans[-1][2] += duration
+    return stats
+
+
+def print_summary(stats, tsc_ghz):
+    """One row per span kind, largest self time first."""
+    scale = 1.0 / (tsc_ghz * 1000.0)  # ticks -> microseconds
+    print(f"{'span kind':<16} {'count':>9} {'total_us':>12} {'mean_us':>10} "
+          f"{'self_us':>12}")
+    for kind, (count, total, self_ticks) in sorted(
+            stats.items(), key=lambda kv: -kv[1][2]):
+        name = SPAN_KINDS.get(kind, f"span{kind}")
+        print(f"{name:<16} {count:>9} {total * scale:>12.1f} "
+              f"{total * scale / count:>10.3f} {self_ticks * scale:>12.1f}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(
         description="OrcGC ring dump -> Chrome trace-event JSON")
@@ -187,12 +229,15 @@ def main() -> int:
                         help="write Chrome trace JSON here")
     parser.add_argument("--validate", action="store_true",
                         help="validate only (no output unless -o given)")
+    parser.add_argument("--summary", action="store_true",
+                        help="print count, total, mean and self time per "
+                             "span kind")
     parser.add_argument("--tsc-ghz", type=float, default=1.0,
                         help="TSC frequency in GHz for microsecond "
                              "timestamps (default 1.0: raw tick scale)")
     args = parser.parse_args()
-    if not args.validate and not args.output:
-        parser.error("need -o/--output and/or --validate")
+    if not (args.validate or args.output or args.summary):
+        parser.error("need -o/--output, --validate and/or --summary")
     if args.tsc_ghz <= 0:
         parser.error("--tsc-ghz must be positive")
 
@@ -224,6 +269,8 @@ def main() -> int:
             f.write("\n")
         print(f"orc_trace: wrote {len(doc['traceEvents'])} events to "
               f"{args.output}", file=sys.stderr)
+    if args.summary:
+        print_summary(summarize(tracks), args.tsc_ghz)
     return 0
 
 

@@ -320,7 +320,7 @@ enum class TraceType : std::uint8_t {
     kRetire = 1,    ///< retire token taken for an object
     kScanBegin = 2, ///< per-object hp scan started
     kScanEnd = 3,   ///< per-object hp scan finished (arg = slots visited)
-    kHandover = 4,  ///< object parked on another thread's handover slot
+    kHandover = 4,  ///< object parked on a covering hp's handover slot
     kFree = 5,      ///< object deleted (arg = 1 if proven by a batch snapshot)
     kDrain = 6,     ///< parked object taken out of a handover slot
     // 7 and 8 are retired; the numbers stay reserved so old dumps decode.
@@ -345,15 +345,17 @@ inline const char* trace_type_name(TraceType t) noexcept {
 /// What a kSpanBegin/kSpanEnd pair timed (the records' arg field). Kept in
 /// sync with tools/orc_trace.py, which names the Chrome-trace slices.
 enum class SpanKind : std::uint8_t {
-    kScanGeneration = 1, ///< one direction-swapped walk-park generation
+    kScanGeneration = 1,   ///< one batched generation's pre-read, fence and hp walk
     // 2-4 are retired; the numbers stay reserved so old dumps decode.
-    kHeavyFence = 5,     ///< one scan-entry asym::heavy() (membarrier) call
+    kHeavyFence = 5,       ///< one scan-entry asym::heavy() (membarrier) call
+    kSettleGeneration = 6, ///< one batched generation's free / fallback loop
 };
 
 inline const char* span_kind_name(SpanKind k) noexcept {
     switch (k) {
         case SpanKind::kScanGeneration: return "scan_generation";
         case SpanKind::kHeavyFence: return "heavy_fence";
+        case SpanKind::kSettleGeneration: return "settle_generation";
     }
     return "?";
 }
@@ -460,7 +462,8 @@ class TraceSpan {
     TraceSpan& operator=(const TraceSpan&) = delete;
 
     /// Payload for the end record's obj field: whatever the span's work
-    /// unit counts (generation members walked, for kScanGeneration).
+    /// unit counts (generation members, for kScanGeneration and
+    /// kSettleGeneration).
     void note_items(std::uint64_t n) noexcept { items_ = n; }
 
   private:

@@ -38,11 +38,11 @@
 //     asym::heavy() — the unlinking thread usually still holds the node —
 //     and fences only before walking the other threads' slots;
 //   * batched (retire_generation_batched): one asym::heavy() and one walk
-//     over every published hp per cascade *generation*, each hp probed into
-//     the generation sorted by address. The walk must be per-generation —
-//     objects pushed while a generation is deleted acquire their retire
-//     tokens *after* the previous walk, and Lemma 1's scan is only valid
-//     when it starts after the token is taken.
+//     over every published hp per cascade *generation*; the few published
+//     hps are sorted by address and each member is probed into them. The
+//     walk must be per-generation — objects pushed while a generation is
+//     deleted acquire their retire tokens *after* the previous walk, and
+//     Lemma 1's scan is only valid when it starts after the token is taken.
 //
 // Destruction protocol (non-global domains; DESIGN.md "Layering and
 // domains"): the destructor unpublishes every hp slot, drains every
@@ -59,6 +59,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <iterator>
 #include <mutex>
 #include <vector>
 
@@ -548,7 +549,7 @@ class OrcDomain {
         std::uint64_t slots_scanned = 0;  ///< hp slots loaded by scans + snapshots
         std::uint64_t batch_frees = 0;    ///< deletes proven by a snapshot
         std::uint64_t slow_frees = 0;     ///< deletes proven by a per-object scan
-        std::uint64_t handovers = 0;      ///< objects parked on another thread's hp
+        std::uint64_t handovers = 0;      ///< objects parked on a covering hp's handover slot
     };
 
     RetireStats stats() const noexcept {
@@ -669,6 +670,18 @@ class OrcDomain {
     }
 
   private:
+    /// One published hp collected by scan_generation, with the handover
+    /// slot a generation member it covers parks in.
+    struct Cover {
+        orc_base* ptr;
+        std::atomic<orc_base*>* handover;
+    };
+
+    /// How far ahead of the member it settles retire_generation_batched
+    /// prefetches: each destroy's locked RMWs drain the pipeline, so without
+    /// it every member of a large generation stalls on its own DRAM miss.
+    static constexpr std::size_t kSettlePrefetch = 8;
+
     /// Per-domain, per-thread slot machinery (the paper's thread-local
     /// arrays, instance-scoped).
     struct alignas(kCacheLineSize) DomainState {
@@ -734,7 +747,7 @@ class OrcDomain {
         std::vector<orc_base*> gen_items;        // generation copy (see scan_generation)
         std::vector<std::uint64_t> gen_lorc;     // pre-read _orc per gen object
         std::vector<std::uint8_t> gen_state;     // kItemPending/Parked/Fallback
-        std::vector<std::uint32_t> gen_order;    // item indices sorted by ptr
+        std::vector<Cover> gen_covers;           // published hps, sorted by ptr
     };
 
     /// Post-walk disposition of a generation item (gen_state): kItemParked
@@ -805,10 +818,15 @@ class OrcDomain {
                 retire(h);
             }
         }
-        // Fresh start for the next thread that reuses this tid. hp_peak stays
-        // monotonic on purpose: a scanner that read a stale hp just before
-        // this drain can still park into one of these handover slots, and the
-        // next drain (or the domain destructor) must keep looking there.
+        // Fresh start for the next thread that reuses this tid: every index
+        // the exiting thread abandoned is free again (without the reset each
+        // one would be lost to the tid for good). hp_peak stays monotonic on
+        // purpose: a scanner that read a stale hp just before this drain can
+        // still park into one of these handover slots, and the next drain
+        // (or the domain destructor) must keep looking there.
+        std::fill(std::begin(t.used_haz), std::end(t.used_haz), 0u);
+        t.free_top = -1;
+        t.free_initialized = false;
         t.hp_wm.store(1, std::memory_order_release);
     }
 
@@ -898,31 +916,37 @@ class OrcDomain {
     }
 
     /// Batched form of the Lemma 1 check for one cascade generation
-    /// recursive_list[begin, end), direction-swapped relative to the seed:
-    /// instead of collecting a sorted snapshot of the hps and binary-searching
-    /// each generation member into it, scan_generation sorts the GENERATION
-    /// and, during the single asym::heavy() + hp walk, probes each published
-    /// hp into it. A hit parks the member in the exact handover slot whose hp
-    /// covers it, right there in the walk — the seed paid a fresh full-HP
-    /// retire_one scan (with its own heavy()) per covered member. After the
-    /// walk every member is settled: parked ones are done, pending ones free
-    /// iff _orc (sequence included) is unchanged since the pre-read, the rest
-    /// fall back to the per-object protocol.
+    /// recursive_list[begin, end). scan_generation proves the whole
+    /// generation with one asym::heavy() and one walk over the published hps,
+    /// and parks each covered member in the handover slot of an hp covering
+    /// it — the per-object path would pay a full scan, fence included, per
+    /// member. The settle loop below then frees each pending member whose
+    /// _orc (sequence included) is unchanged since the pre-read; parked
+    /// members are done, and the rest fall back to the per-object protocol.
     ///
-    /// Soundness is the seed's argument, unchanged by the direction swap:
-    /// every generation member's retire token was acquired before the walk
-    /// started, so a protection the walk misses was published SC-after it —
-    /// such a reader revalidates against a source link, and the unchanged
-    /// sequence plus zero counter prove no link contained the object at any
-    /// point in the pre-read..re-read window. Parking during the walk is the
-    /// same conservative act try_handover performs: the object keeps its
-    /// token and re-enters the protocol when the slot drains, even if the
-    /// protecting thread released the hp between our read and the exchange
-    /// (the hp_peak bound covers such late parks, exactly as before).
+    /// Soundness is the seed's argument: every generation member's retire
+    /// token was acquired before the walk started, so a protection the walk
+    /// misses was published SC-after it — such a reader revalidates against a
+    /// source link, and the unchanged sequence plus zero counter prove no
+    /// link contained the object at any point in the pre-read..re-read
+    /// window. Parking is the same conservative act try_handover performs:
+    /// the object keeps its token and re-enters the protocol when the slot
+    /// drains, even if the protecting thread released the hp between the
+    /// walk's read and the exchange (the hp_peak bound covers such late
+    /// parks).
     void retire_generation_batched(OrcMetrics::Hot& mh, DomainState& t, std::size_t begin,
                                    std::size_t end) {
         scan_generation(mh, t, begin, end);
-        for (std::size_t i = 0; i < t.gen_items.size(); ++i) {
+        const std::size_t n = t.gen_items.size();
+        telemetry::TraceSpan span(mh.span_ring(), telemetry::SpanKind::kSettleGeneration);
+        span.note_items(static_cast<std::uint64_t>(n));
+        for (std::size_t i = 0; i < n; ++i) {
+            // The prefetch skips parked members: they are no longer ours,
+            // and another thread may already have freed them.
+            const std::size_t ahead = i + kSettlePrefetch;
+            if (ahead < n && t.gen_state[ahead] != kItemParked) {
+                __builtin_prefetch(t.gen_items[ahead]);
+            }
             orc_base* ptr = t.gen_items[i];
             const std::uint8_t st = t.gen_state[i];
             if (st == kItemParked) continue;
@@ -938,35 +962,30 @@ class OrcDomain {
     /// The walk of the batched retire: copy the generation out of
     /// recursive_list into t.gen_items (recursive_list grows, and
     /// reallocates, as displacements here and settling destroys afterwards
-    /// push the next generation), pre-read each _orc, sort the items by
-    /// address, then ONE asym::heavy() and one walk over every published hp
-    /// in the domain. Each hp that probes into the generation parks that
-    /// item in place (handover exchange into the covering slot); whatever
-    /// the exchange displaced rejoins OUR cascade as a next-generation member
-    /// (Algorithm 6: the displacing thread re-scans the displaced occupant).
-    /// A duplicate hit on an already-parked item is skipped — one park per
-    /// item, matching retire_one's semantics.
+    /// push the next generation) and pre-read each _orc, then ONE
+    /// asym::heavy() and one walk over every published hp in the domain,
+    /// collecting each non-null hp with its handover slot into t.gen_covers.
+    /// Only when some hp is published are the covers sorted by address and
+    /// each pending member binary-searched into them: P·log P + N·log P for
+    /// P published hps, and nothing when none is (a structure's teardown,
+    /// which frees generations of up to ~10^5 members). A hit parks the
+    /// member in that cover's handover slot; whatever the exchange displaced
+    /// rejoins OUR cascade as a next-generation member (Algorithm 6: the
+    /// displacing thread re-scans the displaced occupant). Each member parks
+    /// at most once, matching retire_one's semantics.
     void scan_generation(OrcMetrics::Hot& mh, DomainState& t, std::size_t begin,
                          std::size_t end) {
         telemetry::TraceSpan span(mh.span_ring(), telemetry::SpanKind::kScanGeneration);
         span.note_items(static_cast<std::uint64_t>(end - begin));
         std::vector<orc_base*>& items = t.gen_items;
-        items.clear();
+        items.assign(t.recursive_list.begin() + begin, t.recursive_list.begin() + end);
         t.gen_lorc.clear();
         t.gen_state.clear();
-        t.gen_order.clear();
-        for (std::size_t i = begin; i < end; ++i) {
-            orc_base* ptr = t.recursive_list[i];
+        for (orc_base* ptr : items) {
             const std::uint64_t l = ptr->_orc.load(std::memory_order_seq_cst);
-            items.push_back(ptr);
             t.gen_lorc.push_back(l);
             t.gen_state.push_back(orc::is_zero_retired(l) ? kItemPending : kItemFallback);
-            t.gen_order.push_back(static_cast<std::uint32_t>(i - begin));
         }
-        std::sort(t.gen_order.begin(), t.gen_order.end(),
-                  [&items](std::uint32_t a, std::uint32_t b) {
-                      return std::less<orc_base*>()(items[a], items[b]);
-                  });
         // Scan-side half of the asymmetric pair: every generation member's
         // retire token (a seq_cst RMW on _orc) was taken before this call, so
         // a publish this fence misses was ordered after it — that reader's
@@ -977,34 +996,37 @@ class OrcDomain {
             telemetry::TraceSpan fence(mh.span_ring(), telemetry::SpanKind::kHeavyFence);
             asym::heavy();
         }
+        std::vector<Cover>& covers = t.gen_covers;
+        covers.clear();
         const int nthreads = thread_id_watermark();
         std::size_t slots = 0;
-        std::size_t published = 0;
         for (int it = 0; it < nthreads; ++it) {
             auto& other = tl_[it];
             const int wm = other.hp_wm.load(std::memory_order_seq_cst);
             for (int idx = 0; idx < wm; ++idx) {
                 orc_base* p = other.hp[idx].load(std::memory_order_seq_cst);
-                if (p == nullptr) continue;
-                ++published;
-                const auto pos = std::lower_bound(
-                    t.gen_order.begin(), t.gen_order.end(), p,
-                    [&items](std::uint32_t a, orc_base* key) {
-                        return std::less<orc_base*>()(items[a], key);
-                    });
-                if (pos == t.gen_order.end() || items[*pos] != p) continue;
-                const std::uint32_t i = *pos;
-                if (t.gen_state[i] != kItemPending) continue;  // parked already / fallback
-                t.gen_state[i] = kItemParked;
-                mh.on_handover(p);
-                if (orc_base* displaced =
-                        other.handovers[idx].exchange(p, std::memory_order_seq_cst)) {
-                    t.recursive_list.push_back(displaced);
-                }
+                if (p != nullptr) covers.push_back(Cover{p, &other.handovers[idx]});
             }
             slots += static_cast<std::size_t>(wm);
         }
-        mh.on_snapshot(published, slots);
+        mh.on_snapshot(covers.size(), slots);
+        if (covers.empty()) return;
+        const auto by_ptr = [](const Cover& a, const Cover& b) {
+            return std::less<orc_base*>()(a.ptr, b.ptr);
+        };
+        std::sort(covers.begin(), covers.end(), by_ptr);
+        for (std::size_t i = 0; i < items.size(); ++i) {
+            if (t.gen_state[i] != kItemPending) continue;
+            orc_base* const ptr = items[i];
+            const auto pos = std::lower_bound(covers.begin(), covers.end(), Cover{ptr, nullptr},
+                                              by_ptr);
+            if (pos == covers.end() || pos->ptr != ptr) continue;
+            t.gen_state[i] = kItemParked;
+            mh.on_handover(ptr);
+            if (orc_base* displaced = pos->handover->exchange(ptr, std::memory_order_seq_cst)) {
+                t.recursive_list.push_back(displaced);
+            }
+        }
     }
 
     /// Algorithm 6 lines 134–145: scan all published hp entries for `ptr`;

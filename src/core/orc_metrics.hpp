@@ -25,7 +25,8 @@
 //   scans          per-object try_handover passes
 //   snapshots      full-hp-array snapshots taken
 //   slots_scanned  hp slots loaded by scans + snapshots
-//   handovers      objects parked on another thread's handover slot
+//   handovers      objects parked on a covering hp's handover slot (the
+//                  retiring thread's own slots included)
 //   cascades       top-level retire() calls (cascade roots)
 //
 // Histograms (log2 buckets):
@@ -40,7 +41,7 @@
 //                         garbage. SAMPLED 1-in-64 per retiring thread
 //                         (telemetry::kAgeSampleMask): stamped objects are
 //                         measured at full clock resolution on whichever
-//                         free path settles them (batched walk-park or
+//                         free path settles them (batched generation or
 //                         per-object rescan), unstamped ones record
 //                         nothing. Exported with p50/p99/p999
 //

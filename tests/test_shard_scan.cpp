@@ -12,6 +12,8 @@
 //     handover drained by the exit hook before its registry slot is reused.
 //   * Wide cascades running at once in one domain overlap their batched
 //     scan generations and still free every object exactly once.
+//   * A batched generation parks exactly the members a published hp covers,
+//     once each, and spends one heavy fence however long it is.
 // Companion: tests/test_retire_paths.cpp (watermarks, single-thread cascades).
 #include <gtest/gtest.h>
 
@@ -27,6 +29,7 @@
 #include "common/alloc_tracker.hpp"
 #include "common/asym_fence.hpp"
 #include "common/barrier.hpp"
+#include "common/telemetry.hpp"
 #include "core/orc.hpp"
 #include "ds/orc/ms_queue_orc.hpp"
 #include "ds/orc/nm_tree_orc.hpp"
@@ -42,6 +45,33 @@ struct WideNode : orc_base, TrackedObject {
     static constexpr int kChildren = 32;
     orc_atomic<WideNode*> child[kChildren];
 };
+
+struct BinNode : orc_base, TrackedObject {
+    orc_atomic<BinNode*> left;
+    orc_atomic<BinNode*> right;
+};
+
+/// A complete binary tree of `depth` levels, allocated into `dom`.
+orc_ptr<BinNode*> build_tree(OrcDomain& dom, int depth) {
+    orc_ptr<BinNode*> n = make_orc_in<BinNode>(dom);
+    if (depth > 1) {
+        n->left.store(build_tree(dom, depth - 1));
+        n->right.store(build_tree(dom, depth - 1));
+    }
+    return n;
+}
+
+void await_phase(const std::atomic<int>& phase, int v) {
+    while (phase.load(std::memory_order_acquire) < v) std::this_thread::yield();
+}
+
+void advance(std::atomic<int>& phase) { phase.fetch_add(1, std::memory_order_acq_rel); }
+
+// heavy() counts nothing in the seqcst and off modes, so fence counts are
+// asserted only where it issues a barrier.
+bool heavy_counts() {
+    return asym::mode() == asym::Mode::kMembarrier || asym::mode() == asym::Mode::kFence;
+}
 
 // ------------------------------------------------------ concurrent cascades
 
@@ -79,6 +109,85 @@ TEST(RetireCascade, ConcurrentWideCascadesFreeEveryNodeExactlyOnce) {
     EXPECT_EQ(counters.double_destroys(), doubles_before);
 }
 
+// Dropping the root frees it through the per-object scan, and its 32
+// children form one batched generation. The reader covers child 3 with two
+// hps and child 17 with a third: the generation's one walk parks each of the
+// two exactly once and frees the other 30 under its single fence.
+TEST(RetireCascade, BatchedGenerationParksExactlyTheCoveredMembers) {
+    auto dom = std::make_unique<OrcDomain>();
+    orc_ptr<WideNode*> root = make_orc_in<WideNode>(*dom);
+    std::vector<orc_base*> kids;
+    for (int j = 0; j < WideNode::kChildren; ++j) {
+        orc_ptr<WideNode*> c = make_orc_in<WideNode>(*dom);
+        root->child[j].store(c);
+        kids.push_back(c.get());
+    }
+
+    std::atomic<int> phase{0};
+    std::thread reader([&] {
+        // The root's links keep both children alive until the publishes land.
+        const int idx[3] = {dom->get_new_idx(), dom->get_new_idx(), dom->get_new_idx()};
+        dom->protect_ptr(kids[3], idx[0]);
+        dom->protect_ptr(kids[3], idx[1]);
+        dom->protect_ptr(kids[17], idx[2]);
+        advance(phase);  // 1: children 3 and 17 covered
+        await_phase(phase, 2);
+        for (const int i : idx) dom->release_idx(i, nullptr);
+        advance(phase);  // 3
+    });
+
+    await_phase(phase, 1);
+    const OrcDomain::RetireStats before = dom->stats();
+    const std::uint64_t fences = asym::heavy_fences();
+    root = nullptr;
+    if (heavy_counts()) {
+        EXPECT_EQ(asym::heavy_fences() - fences, 2u);  // the root's scan + the generation's
+    }
+    if (telemetry::kTelemetryEnabled) {
+        const OrcDomain::RetireStats after = dom->stats();
+        EXPECT_EQ(after.snapshots - before.snapshots, 1u);
+        EXPECT_EQ(after.batch_frees - before.batch_frees, 30u);
+        EXPECT_EQ(after.handovers - before.handovers, 2u);
+    }
+    EXPECT_EQ(dom->handover_count(), 2u);
+    EXPECT_EQ(dom->object_count(), 2);
+    advance(phase);  // 2
+    await_phase(phase, 3);
+    reader.join();
+
+    EXPECT_EQ(dom->handover_count(), 0u);
+    EXPECT_EQ(dom->object_count(), 0);
+}
+
+// A structure's teardown: a complete binary tree held by one link, with no
+// orc_ptr alive, frees level by level. The size-1 and size-2 levels scan per
+// object, one fence each; every larger level is one batched generation with
+// one fence, up to 4,096 members long.
+TEST(RetireCascade, LargeGenerationsTakeOneFenceEach) {
+    constexpr int kDepth = 13;
+    constexpr std::int64_t kNodes = (std::int64_t{1} << kDepth) - 1;  // 8,191
+    constexpr std::uint64_t kBatchedLevels = kDepth - 2;
+    auto dom = std::make_unique<OrcDomain>();
+    orc_atomic<BinNode*> root;
+    root.store(build_tree(*dom, kDepth));
+    ASSERT_EQ(dom->object_count(), kNodes);
+
+    const OrcDomain::RetireStats before = dom->stats();
+    const std::uint64_t fences = asym::heavy_fences();
+    root.store(nullptr);
+    if (heavy_counts()) {
+        EXPECT_EQ(asym::heavy_fences() - fences, 1u + 2u + kBatchedLevels);
+    }
+    if (telemetry::kTelemetryEnabled) {
+        const OrcDomain::RetireStats after = dom->stats();
+        EXPECT_EQ(after.snapshots - before.snapshots, kBatchedLevels);
+        EXPECT_EQ(after.batch_frees - before.batch_frees, static_cast<std::uint64_t>(kNodes - 3));
+        EXPECT_EQ(after.slow_frees - before.slow_frees, 3u);
+    }
+    EXPECT_EQ(dom->handover_count(), 0u);
+    EXPECT_EQ(dom->object_count(), 0);
+}
+
 // ------------------------------------------- handover displacement (Alg. 6)
 //
 // Displacement is driven deterministically through the raw protection API
@@ -86,12 +195,6 @@ TEST(RetireCascade, ConcurrentWideCascadesFreeEveryNodeExactlyOnce) {
 // republishing a new pointer on a held index without releasing it is what
 // get_protected's retry loop does, and leaves the previous park in the
 // handover slot for the next park to displace.
-
-void await_phase(const std::atomic<int>& phase, int v) {
-    while (phase.load(std::memory_order_acquire) < v) std::this_thread::yield();
-}
-
-void advance(std::atomic<int>& phase) { phase.fetch_add(1, std::memory_order_acq_rel); }
 
 // Algorithm 6: a park that lands on an occupied handover slot hands the old
 // occupant back to the retiring thread, which re-scans it inline. The reader
@@ -180,13 +283,7 @@ TEST(HandoverDisplacement, StalledIndexPinsAtMostOneObject) {
 //
 // try_handover probes the retiring thread's own hp slots before it issues
 // the heavy fence: a park on an own slot is conservative, and the owner's
-// release drains it back through the fenced scan. heavy() counts nothing in
-// the seqcst and off modes, so fence counts are asserted only where it
-// issues a barrier.
-
-bool heavy_counts() {
-    return asym::mode() == asym::Mode::kMembarrier || asym::mode() == asym::Mode::kFence;
-}
+// release drains it back through the fenced scan.
 
 // Unlinking a node this thread still holds parks it on the thread's own
 // handover slot with no fence; dropping the orc_ptr drains the park through
@@ -290,10 +387,11 @@ TEST(HandoverDisplacement, EachUnlinkPaysOneFenceLess) {
 // A thread exiting with an abandoned index (hp still published, a handover
 // still parked on it) must have both drained by its exit hook before its
 // registry slot is recycled: rapid create/exit churn, one forced
-// displacement per generation of thread.
+// displacement per generation of thread. The churn outlasts kMaxHPs, so the
+// exit hook must also hand the abandoned index back to the tid's next owner.
 TEST(HandoverDisplacement, ThreadChurnWithAbandonedIndexLeavesNothingParked) {
     auto dom = std::make_unique<OrcDomain>();
-    constexpr int kChurn = 24;  // < kMaxHPs: each abandoned index is gone for good
+    constexpr int kChurn = 2 * OrcDomain::kMaxHPs;
     for (int i = 0; i < kChurn; ++i) {
         orc_ptr<Node*> px = make_orc_in<Node>(*dom);
         orc_ptr<Node*> py = make_orc_in<Node>(*dom);

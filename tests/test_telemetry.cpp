@@ -341,6 +341,7 @@ TEST(TraceSpanTest, SpanKindNamesMatchTheExporterContract) {
     using telemetry::span_kind_name;
     EXPECT_STREQ(span_kind_name(SpanKind::kScanGeneration), "scan_generation");
     EXPECT_STREQ(span_kind_name(SpanKind::kHeavyFence), "heavy_fence");
+    EXPECT_STREQ(span_kind_name(SpanKind::kSettleGeneration), "settle_generation");
 }
 
 // ---- OrcMetrics end-to-end -------------------------------------------------

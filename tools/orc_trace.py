@@ -15,9 +15,10 @@ Usage:
 Mapping:
   * One track per (source, tid): each telemetry source becomes a trace
     process (pid), each OrcGC dense thread id a thread (tid) inside it.
-  * span_begin/span_end records (TraceSpan pairs — scan generations and
-    heavy fences) become duration events (ph B/E) named by their SpanKind;
-    the end record's obj field carries the span's item count as args.items.
+  * span_begin/span_end records (TraceSpan pairs — scan generations, their
+    settle loops and heavy fences) become duration events (ph B/E) named by
+    their SpanKind; the end record's obj field carries the span's item count
+    as args.items.
   * Every other record type (retire, free_batch, handover, ...) becomes an
     instant event (ph i, thread scope) with obj/arg attached as args.
   * Timestamps are (tsc - min_tsc) / (tsc_ghz * 1000) microseconds. The
@@ -47,6 +48,7 @@ import sys
 SPAN_KINDS = {
     1: "scan_generation",
     5: "heavy_fence",
+    6: "settle_generation",
 }
 
 
@@ -212,12 +214,12 @@ def summarize(tracks):
 def print_summary(stats, tsc_ghz):
     """One row per span kind, largest self time first."""
     scale = 1.0 / (tsc_ghz * 1000.0)  # ticks -> microseconds
-    print(f"{'span kind':<16} {'count':>9} {'total_us':>12} {'mean_us':>10} "
+    print(f"{'span kind':<18} {'count':>9} {'total_us':>12} {'mean_us':>10} "
           f"{'self_us':>12}")
     for kind, (count, total, self_ticks) in sorted(
             stats.items(), key=lambda kv: -kv[1][2]):
         name = SPAN_KINDS.get(kind, f"span{kind}")
-        print(f"{name:<16} {count:>9} {total * scale:>12.1f} "
+        print(f"{name:<18} {count:>9} {total * scale:>12.1f} "
               f"{total * scale / count:>10.3f} {self_ticks * scale:>12.1f}")
 
 
